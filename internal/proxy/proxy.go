@@ -22,7 +22,9 @@ import (
 
 // Config configures a Proxy.
 type Config struct {
-	// Resolver performs upstream iterative resolution. Required.
+	// Resolver performs upstream iterative resolution. Required. The
+	// proxy flushes its delegation cache whenever Cache advances to a
+	// new generation.
 	Resolver *resolver.Resolver
 	// Cache serves per-name verdicts. Required; keep it advancing via
 	// Monitor.OnCommit.
@@ -49,6 +51,9 @@ type Stats struct {
 // Proxy is a dnsserver.Handler; it is safe for concurrent use.
 type Proxy struct {
 	cfg Config
+	// gen is the survey generation the resolver's delegation cache was
+	// last flushed for.
+	gen atomic.Int64
 
 	served  atomic.Uint64
 	refused atomic.Uint64
@@ -67,13 +72,18 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 5 * time.Second
 	}
-	return &Proxy{cfg: cfg}, nil
+	p := &Proxy{cfg: cfg}
+	cfg.Resolver.FlushDelegations()
+	p.gen.Store(cfg.Cache.Survey().Stats.Generation)
+	return p, nil
 }
 
 // ServeDNS implements dnsserver.Handler. The verdict is consulted
 // before resolution, so a refused name costs no upstream traffic — the
 // attack the policy blocks is on the answer path, and the proxy never
-// walks into a chain the monitor already condemned.
+// walks into a chain the monitor already condemned. Nor does an
+// allowed query walk a delegation the resolver learned before the
+// generation its verdict came from.
 //
 // The refuse path is the serving-side hot loop under attack: every
 // blocked query pays one cache lookup and one reply header. Varargs box
@@ -110,6 +120,15 @@ func (p *Proxy) ServeDNS(ctx context.Context, req *dnswire.Message) *dnswire.Mes
 			//lint:allow hotpathalloc boxing happens only with logging enabled; flagged answers are logged by contract
 			p.logf("flag %s: %s (tcb=%d cut=%d gen=%d provisional=%v)", name, v.Reasons, v.TCBSize, v.Cut, v.Generation, v.Provisional)
 		}
+	}
+
+	// Delegations learned before a commit must not steer a resolution
+	// after it: the commit may have condemned or moved them. The flush
+	// is published before the generation, so a query that sees the new
+	// generation also resolves under the new cache epoch.
+	if g := p.cfg.Cache.Survey().Stats.Generation; g != p.gen.Load() {
+		p.cfg.Resolver.FlushDelegations()
+		p.gen.Store(g)
 	}
 
 	rctx, cancel := context.WithTimeout(ctx, p.cfg.Timeout)

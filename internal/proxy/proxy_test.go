@@ -3,6 +3,9 @@ package proxy_test
 import (
 	"context"
 	"log"
+	"net/netip"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -249,6 +252,129 @@ func TestProxyUnknownNameProvisional(t *testing.T) {
 	}
 	if st := p.Stats(); st.Flagged != 1 {
 		t.Errorf("post-crawl answer must not be flagged: %+v", st)
+	}
+}
+
+// upstreamLog records which upstream servers a resolver contacts.
+type upstreamLog struct {
+	mu    sync.Mutex
+	addrs []netip.Addr
+}
+
+func (u *upstreamLog) take() []netip.Addr {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	out := u.addrs
+	u.addrs = nil
+	return out
+}
+
+// servingStack wires the dnstrustd read path over world: a monitor
+// whose commits advance the verdict cache, and a proxy whose resolver's
+// upstream queries land in the returned log.
+func servingStack(t *testing.T, world *topology.World) (*dnstrust.Monitor, *verdict.Cache, *proxy.Proxy, *upstreamLog) {
+	t.Helper()
+	ctx := context.Background()
+	m, err := dnstrust.OpenWorld(ctx, world, dnstrust.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	cache, err := verdict.NewCache(m.At().Survey(), verdict.Config{TTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cache.Close() })
+	m.OnCommit(func(v *dnstrust.View) { cache.Advance(v.Survey()) })
+
+	up := &upstreamLog{}
+	src := transport.Chain(world.Registry.Source(), transport.Trace(func(server netip.Addr, _ string, _ dnswire.Type) {
+		up.mu.Lock()
+		up.addrs = append(up.addrs, server)
+		up.mu.Unlock()
+	}))
+	t.Cleanup(func() { src.Close() })
+	r, err := resolver.New(src, resolver.Config{Roots: world.Registry.RootServers()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := proxy.New(proxy.Config{Resolver: r, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, cache, p, up
+}
+
+// TestCommitFlushesDelegations extends the post-commit invalidation
+// property to the resolver's delegation cache: after the verdict cache
+// advances to a new generation, the next allowed query walks from the
+// root, and the one after it is served from the delegations that walk
+// learned.
+func TestCommitFlushesDelegations(t *testing.T) {
+	ctx := context.Background()
+	world := policyWorld(t)
+	m, cache, p, up := servingStack(t, world)
+	roots := map[netip.Addr]bool{}
+	for _, s := range world.Registry.RootServers() {
+		roots[s.Addr] = true
+	}
+	viaRoot := func() bool {
+		return slices.ContainsFunc(up.take(), func(a netip.Addr) bool { return roots[a] })
+	}
+	serve := func() {
+		t.Helper()
+		resp := p.ServeDNS(ctx, dnswire.NewQuery(1, "www.example.com", dnswire.TypeA, dnswire.ClassINET))
+		if resp.RCode != dnswire.RCodeSuccess || len(resp.Answers) == 0 {
+			t.Fatalf("www.example.com: %s, want NOERROR with answers", resp)
+		}
+	}
+
+	serve()
+	up.take()
+	for _, name := range world.Corpus {
+		gen := cache.Survey().Stats.Generation
+		if _, err := m.Add(ctx, name); err != nil {
+			t.Fatal(err)
+		}
+		if cache.Survey().Stats.Generation == gen {
+			t.Fatalf("adding %s did not advance the verdict cache", name)
+		}
+		serve()
+		if !viaRoot() {
+			t.Errorf("after committing %s: the first allowed query did not walk from the root", name)
+		}
+		serve()
+		if viaRoot() {
+			t.Errorf("after committing %s: a repeat query walked from the root", name)
+		}
+	}
+}
+
+// TestRefusedNameSkipsUpstreamWithWarmCache checks that the delegation
+// cache does not weaken the refuse short-circuit: with the cache warm
+// for the very zones a condemned name lives under, a refused query
+// still reaches no upstream server.
+func TestRefusedNameSkipsUpstreamWithWarmCache(t *testing.T) {
+	ctx := context.Background()
+	world := policyWorld(t)
+	m, _, p, up := servingStack(t, world)
+	if _, err := m.Add(ctx, world.Corpus...); err != nil {
+		t.Fatal(err)
+	}
+	// mail.fbi.gov is unknown to the monitor, so it is served
+	// (provisionally) and warms the fbi.gov delegation.
+	for _, n := range []string{"www.example.com", "mail.fbi.gov"} {
+		p.ServeDNS(ctx, dnswire.NewQuery(1, n, dnswire.TypeA, dnswire.ClassINET))
+	}
+	if len(up.take()) == 0 {
+		t.Fatal("warm-up reached no upstream server")
+	}
+	resp := p.ServeDNS(ctx, dnswire.NewQuery(2, "www.fbi.gov", dnswire.TypeA, dnswire.ClassINET))
+	if resp.RCode != dnswire.RCodeRefused {
+		t.Fatalf("www.fbi.gov: %s, want REFUSED", resp)
+	}
+	if got := up.take(); len(got) != 0 {
+		t.Errorf("refused query reached %d upstream servers: %v", len(got), got)
 	}
 }
 

@@ -10,7 +10,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/netip"
+	"slices"
 	"time"
 
 	"dnstrust/internal/dnsname"
@@ -185,12 +187,18 @@ type Result struct {
 	Trace Trace
 }
 
-// Resolver performs iterative resolution over a Transport. It is
-// stateless between calls except for configuration; the survey's caching
-// lives in Walker.
+// Resolver performs iterative resolution over a Transport. Answers are
+// always fetched from the authoritative servers; what it keeps between
+// calls is a bounded delegation cache: the servers of every zone cut a
+// referral revealed, for the TTL of the referral's NS RRset. A
+// resolution starts at the deepest cached zone above its name rather
+// than at the root, so repeat traffic under a known zone costs one
+// upstream query. FlushDelegations drops the cache in O(1). The
+// survey's own caching lives in Walker.
 type Resolver struct {
-	cfg Config
-	tr  Transport
+	cfg   Config
+	tr    Transport
+	deleg delegCache
 }
 
 // New creates a Resolver. When the config enables pacing
@@ -215,13 +223,34 @@ func New(tr Transport, cfg Config) (*Resolver, error) {
 			Sleep:             cfg.rateSleep,
 		}))
 	}
-	return &Resolver{cfg: cfg, tr: tr}, nil
+	cfg.Roots = slices.Clone(cfg.Roots)
+	r := &Resolver{cfg: cfg, tr: tr}
+	r.deleg.now = time.Now
+	return r, nil
 }
 
-// Resolve iteratively resolves (name, qtype) starting from the root.
+// FlushDelegations forgets every cached delegation: resolutions that
+// begin after it returns walk from the root again, and delegations
+// learned by resolutions already under way are never used. It costs
+// O(1) however large the cache is.
+func (r *Resolver) FlushDelegations() { r.deleg.flush() }
+
+// walk is the state one Resolve call threads through its delegation
+// walks: the trace it appends to, and the cache epoch and clock
+// reading taken when the call began. Delegations the call learns are
+// stored under that epoch, so a flush during the call discards them.
+type walk struct {
+	trace *Trace
+	epoch uint64
+	now   time.Time
+}
+
+// Resolve iteratively resolves (name, qtype), starting from the deepest
+// cached delegation above name or, when none is cached, from the root.
 func (r *Resolver) Resolve(ctx context.Context, name string, qtype dnswire.Type) (*Result, error) {
 	name = dnsname.Canonical(name)
 	res := &Result{Name: name, CanonicalName: name}
+	w := &walk{trace: &res.Trace, epoch: r.deleg.epoch.Load(), now: r.deleg.now()}
 	seen := map[string]bool{}
 	target := name
 	for hop := 0; hop <= r.cfg.MaxCNAME; hop++ {
@@ -229,7 +258,7 @@ func (r *Resolver) Resolve(ctx context.Context, name string, qtype dnswire.Type)
 			return res, ErrCNAMELoop
 		}
 		seen[target] = true
-		rrs, authZone, err := r.resolveOnce(ctx, target, qtype, &res.Trace, 0)
+		rrs, authZone, err := r.resolveOnce(ctx, target, qtype, w, 0)
 		if err != nil {
 			return res, err
 		}
@@ -262,24 +291,25 @@ func (r *Resolver) Resolve(ctx context.Context, name string, qtype dnswire.Type)
 	return res, ErrCNAMELoop
 }
 
-// resolveOnce walks one delegation chain root->auth zone for (name,qtype).
-// depth counts nested NS-address resolutions.
-func (r *Resolver) resolveOnce(ctx context.Context, name string, qtype dnswire.Type, trace *Trace, depth int) ([]dnswire.RR, string, error) {
+// resolveOnce walks one delegation chain for (name,qtype), from the
+// deepest cached zone cut above name, or from the root when none is
+// cached. depth counts nested NS-address resolutions.
+func (r *Resolver) resolveOnce(ctx context.Context, name string, qtype dnswire.Type, w *walk, depth int) ([]dnswire.RR, string, error) {
 	if depth > r.cfg.MaxDepth {
 		return nil, "", ErrDepthExceeded
 	}
-	zone := "" // current zone apex (root)
-	servers := append([]ServerAddr(nil), r.cfg.Roots...)
+	zone, servers, cached := r.deleg.closest(name, w.epoch, w.now)
+	if !cached {
+		servers = r.cfg.Roots
+	}
 	for hop := 0; hop < r.cfg.MaxChainLen; hop++ {
 		if err := ctx.Err(); err != nil {
 			return nil, "", err
 		}
-		resp, used, err := r.queryAny(ctx, zone, servers, name, qtype, trace)
-		if err != nil {
-			return nil, zone, err
-		}
-		_ = used
+		resp, err := r.queryAny(ctx, zone, servers, name, qtype, w.trace)
+		var child string
 		switch {
+		case err != nil:
 		case resp.RCode == dnswire.RCodeNXDomain:
 			return nil, zone, ErrNXDomain
 		case resp.RCode != dnswire.RCodeSuccess:
@@ -290,25 +320,37 @@ func (r *Resolver) resolveOnce(ctx context.Context, name string, qtype dnswire.T
 			// Authoritative empty answer: NODATA.
 			return nil, zone, ErrNoData
 		case len(resp.Authority) > 0:
-			// Referral: descend into the child zone.
-			child, next, err := r.followReferral(ctx, resp, trace, depth)
-			if err != nil {
-				return nil, zone, err
-			}
+			child = dnsname.Canonical(resp.Authority[0].Name)
 			if !dnsname.IsSubdomain(child, zone) || child == zone {
-				return nil, zone, fmt.Errorf("resolver: bogus referral from %q to %q", zone, child)
+				err = fmt.Errorf("resolver: bogus referral from %q to %q", zone, child)
 			}
-			zone = child
-			servers = next
 		default:
-			return nil, zone, ErrLameDelegation
+			err = ErrLameDelegation
 		}
+		if err != nil {
+			if cached && ctx.Err() == nil {
+				// The cached servers all failed or no longer serve the
+				// zone: forget them and walk this name once from the root.
+				r.deleg.evict(zone)
+				zone, servers, cached = "", r.cfg.Roots, false
+				continue
+			}
+			return nil, zone, err
+		}
+		cached = false
+		// Referral: descend into the child zone.
+		next, ttl, err := r.followReferral(ctx, zone, resp, w, depth)
+		if err != nil {
+			return nil, zone, err
+		}
+		r.deleg.store(child, next, ttl, w.epoch, w.now)
+		zone, servers = child, next
 	}
 	return nil, zone, ErrDepthExceeded
 }
 
 // queryAny tries the zone's servers in order until one responds usefully.
-func (r *Resolver) queryAny(ctx context.Context, zone string, servers []ServerAddr, name string, qtype dnswire.Type, trace *Trace) (*dnswire.Message, ServerAddr, error) {
+func (r *Resolver) queryAny(ctx context.Context, zone string, servers []ServerAddr, name string, qtype dnswire.Type, trace *Trace) (*dnswire.Message, error) {
 	qctx := transport.WithZone(ctx, zone)
 	var lastErr error = ErrNoServers
 	for _, srv := range servers {
@@ -331,39 +373,49 @@ func (r *Resolver) queryAny(ctx context.Context, zone string, servers []ServerAd
 			child = dnsname.Canonical(resp.Authority[0].Name)
 		}
 		*trace = append(*trace, Step{Zone: zone, Server: srv, Name: name, Type: qtype, Kind: kind, ChildZone: child})
-		return resp, srv, nil
+		return resp, nil
 	}
-	return nil, ServerAddr{}, lastErr
+	return nil, lastErr
 }
 
-// followReferral extracts the child zone and its servers from a referral,
-// resolving nameserver addresses (using glue when offered, recursing when
-// not) so the descent can continue.
-func (r *Resolver) followReferral(ctx context.Context, resp *dnswire.Message, trace *Trace, depth int) (string, []ServerAddr, error) {
-	child := dnsname.Canonical(resp.Authority[0].Name)
+// followReferral extracts the child zone's servers from a referral
+// sent by a server of zone, resolving nameserver addresses so the
+// descent can continue, and returns them with the TTL of the NS RRset.
+// Glue is used only inside zone's bailiwick: an address for any other
+// host is unverified by the referring server's authority, so that host
+// is resolved through its own chain.
+func (r *Resolver) followReferral(ctx context.Context, zone string, resp *dnswire.Message, w *walk, depth int) ([]ServerAddr, uint32, error) {
 	glue := map[string][]netip.Addr{}
 	for _, rr := range resp.Additional {
+		host := dnsname.Canonical(rr.Name)
+		if !dnsname.IsSubdomain(host, zone) {
+			continue
+		}
 		switch d := rr.Data.(type) {
 		case dnswire.A:
-			glue[dnsname.Canonical(rr.Name)] = append(glue[rr.Name], d.Addr)
+			glue[host] = append(glue[host], d.Addr)
 		case dnswire.AAAA:
-			glue[dnsname.Canonical(rr.Name)] = append(glue[rr.Name], d.Addr)
+			glue[host] = append(glue[host], d.Addr)
 		}
 	}
 	var out []ServerAddr
 	var lastErr error
+	ttl := uint32(math.MaxUint32)
 	for _, rr := range resp.Authority {
 		ns, ok := rr.Data.(dnswire.NS)
 		if !ok {
 			continue
 		}
+		ttl = min(ttl, rr.TTL)
 		host := dnsname.Canonical(ns.Host)
-		if addrs, ok := glue[host]; ok && len(addrs) > 0 {
-			out = append(out, ServerAddr{Host: host, Addr: addrs[0]})
+		if addrs := glue[host]; len(addrs) > 0 {
+			for _, a := range addrs {
+				out = append(out, ServerAddr{Host: host, Addr: a})
+			}
 			continue
 		}
 		// No glue: resolve the server's address through its own chain.
-		sub, _, err := r.resolveOnce(ctx, host, dnswire.TypeA, trace, depth+1)
+		sub, _, err := r.resolveOnce(ctx, host, dnswire.TypeA, w, depth+1)
 		if err != nil {
 			lastErr = err
 			continue
@@ -371,15 +423,14 @@ func (r *Resolver) followReferral(ctx context.Context, resp *dnswire.Message, tr
 		for _, srr := range sub {
 			if a, ok := srr.Data.(dnswire.A); ok {
 				out = append(out, ServerAddr{Host: host, Addr: a.Addr})
-				break
 			}
 		}
 	}
 	if len(out) == 0 {
 		if lastErr != nil {
-			return child, nil, fmt.Errorf("%w: %w", ErrLameDelegation, lastErr)
+			return nil, 0, fmt.Errorf("%w: %w", ErrLameDelegation, lastErr)
 		}
-		return child, nil, ErrLameDelegation
+		return nil, 0, ErrLameDelegation
 	}
-	return child, out, nil
+	return out, ttl, nil
 }
