@@ -12,19 +12,22 @@
 //	          [-addr :8063] [-interval 30s] [-timeout 10s] [-quorum 0]
 //	          [-attempts 3] [-backoff 200ms] [-retain 8] [-snapshot fleet.snap]
 //
-// Endpoints:
+// Endpoints: the read routes shared with dnsmonitord (internal/httpapi:
+// /summary, /tcb, /bottleneck, /generations, /diff) over the merged
+// timeline, with /summary and each /generations entry adding "stale"
+// and "stale_shards" (and "changed", the entry's changed-name count),
+// and /tcb and /bottleneck adding the owning "shard". Before the first
+// merge they answer 503. The router's own routes:
 //
-//	GET  /summary            headline statistics of the merged generation
-//	GET  /tcb?name=N         trusted computing base of a surveyed name
-//	GET  /bottleneck?name=N  §3.2 min-cut analysis of a name
-//	GET  /generations        retained merged generations (-retain bounds it)
-//	GET  /diff?from=&to=     typed trust delta between two retained
-//	                         merged generations
 //	GET  /stats              fleet dimensions plus per-shard health
 //	POST /add                whitespace-separated names in the body are
 //	                         consistent-hashed to their owning shards,
 //	                         fanned out to the shards' /add endpoints,
-//	                         and folded into a fresh merged generation
+//	                         and folded into a fresh merged generation;
+//	                         a body over 16 MiB answers 413
+//
+// SIGTERM/SIGINT drains in-flight requests, stops the merge ticker, and
+// exits 0.
 //
 // Merge semantics: shards are fetched concurrently each round, bounded
 // by -timeout. A shard that fails its fetch keeps its last merged
@@ -37,8 +40,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -46,12 +47,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"dnstrust/internal/fleet"
+	"dnstrust/internal/httpapi"
 )
 
 func main() {
@@ -97,7 +98,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("dnsfleetd: %v", err)
 	}
-	srv := &server{c: c, ring: fleet.NewRing(c.ShardNames(), 0), urls: urls}
+	srv := newServer(c, urls)
 
 	log.Printf("merging initial fleet state from %d shards...", len(shards))
 	start := time.Now()
@@ -112,8 +113,9 @@ func main() {
 		log.Printf("dnsfleetd: serving a partial view: stale shards %v", fv.StaleShards())
 	}
 
-	stop := make(chan struct{})
+	stop, ticking := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(ticking)
 		t := time.NewTicker(*interval)
 		defer t.Stop()
 		for {
@@ -128,24 +130,20 @@ func main() {
 		}
 	}()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
-	go func() {
-		sig := <-sigc
-		log.Printf("%v: shutting down", sig)
-		close(stop)
-		os.Exit(0)
-	}()
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /summary", srv.summary)
-	mux.HandleFunc("GET /tcb", srv.tcb)
-	mux.HandleFunc("GET /bottleneck", srv.bottleneck)
-	mux.HandleFunc("GET /generations", srv.generations)
-	mux.HandleFunc("GET /diff", srv.diff)
-	mux.HandleFunc("GET /stats", srv.stats)
-	mux.HandleFunc("POST /add", srv.add)
-	log.Fatal(http.ListenAndServe(*addr, mux))
+	// SIGTERM/SIGINT: drain in-flight requests, then stop the merge
+	// ticker (letting a round already under way finish) and exit.
+	sigCtx, stopSig := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	defer stopSig()
+	serveErr := httpapi.Serve(sigCtx, *addr, srv.routes())
+	if serveErr != nil {
+		log.Printf("dnsfleetd: serve: %v", serveErr)
+	}
+	log.Printf("shutting down")
+	close(stop)
+	<-ticking
+	if serveErr != nil {
+		os.Exit(1)
+	}
 }
 
 // server exposes one shared Coordinator. Reads answer from the latest
@@ -155,183 +153,51 @@ type server struct {
 	c    *fleet.Coordinator
 	ring *fleet.Ring
 	urls map[string]string // shard name -> base URL, for /add fan-out
+	api  *httpapi.API[*fleet.FleetView]
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+// newServer serves c's merged timeline through the shared read routes,
+// each answer extended with the fleet's staleness or owning shard.
+func newServer(c *fleet.Coordinator, urls map[string]string) *server {
+	s := &server{c: c, ring: fleet.NewRing(c.ShardNames(), 0), urls: urls}
+	s.api = &httpapi.API[*fleet.FleetView]{
+		Current:       s.c.Current,
+		Timeline:      s.c.Timeline,
+		Between:       s.c.Between,
+		SummaryFields: staleFields,
+		NameFields:    func(name string, out map[string]any) { out["shard"] = s.ring.Owner(name) },
+		GenerationFields: func(v *fleet.FleetView, out map[string]any) {
+			out["changed"] = len(v.Changed())
+			staleFields(v, out)
+		},
+	}
+	return s
 }
 
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+// staleFields adds the view's staleness to a response.
+func staleFields(v *fleet.FleetView, out map[string]any) {
+	out["stale"] = v.Stale()
+	out["stale_shards"] = v.StaleShards()
 }
 
-// view fetches the current merged view or fails the request (the
-// coordinator has one from boot; nil only happens before the initial
-// merge finishes).
-func (s *server) view(w http.ResponseWriter) (*fleet.FleetView, bool) {
-	v := s.c.Current()
-	if v == nil {
-		writeErr(w, http.StatusServiceUnavailable, errors.New("no merged generation yet"))
-		return nil, false
-	}
-	return v, true
-}
-
-func (s *server) summary(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.view(w)
-	if !ok {
-		return
-	}
-	sum := v.Summary()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation":         v.Generation(),
-		"names":              sum.Names,
-		"servers":            sum.Servers,
-		"vulnerable_servers": sum.VulnerableServers,
-		"affected_names":     sum.AffectedNames,
-		"tcb_mean":           sum.TCB.Mean(),
-		"tcb_median":         sum.TCB.Median(),
-		"tcb_max":            sum.TCB.Max(),
-		"direct_mean":        sum.DirectMean,
-		"owned_mean":         sum.OwnedMean,
-		"stale":              v.Stale(),
-		"stale_shards":       v.StaleShards(),
-	})
-}
-
-func (s *server) tcb(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
-	if name == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("missing ?name= parameter"))
-		return
-	}
-	v, ok := s.view(w)
-	if !ok {
-		return
-	}
-	tcb, err := v.TCB(name)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation": v.Generation(),
-		"name":       name,
-		"shard":      s.ring.Owner(name),
-		"tcb_size":   len(tcb),
-		"tcb":        tcb,
-	})
-}
-
-func (s *server) bottleneck(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
-	if name == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("missing ?name= parameter"))
-		return
-	}
-	v, ok := s.view(w)
-	if !ok {
-		return
-	}
-	res, err := v.Bottleneck(name)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation":  v.Generation(),
-		"name":        name,
-		"shard":       s.ring.Owner(name),
-		"cut":         res.Cut,
-		"cut_size":    res.Size,
-		"safe_in_cut": res.SafeInCut,
-		"vuln_in_cut": res.VulnInCut,
-	})
-}
-
-func (s *server) generations(w http.ResponseWriter, r *http.Request) {
-	tl := s.c.Timeline()
-	out := make([]map[string]any, 0, len(tl))
-	for _, v := range tl {
-		g := v.Survey().Graph
-		out = append(out, map[string]any{
-			"generation":   v.Generation(),
-			"names":        v.NumNames(),
-			"servers":      g.NumHosts(),
-			"zones":        g.NumZones(),
-			"chains":       g.NumChains(),
-			"changed":      len(v.Changed()),
-			"stale":        v.Stale(),
-			"stale_shards": v.StaleShards(),
-		})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"retained":    len(tl),
-		"generations": out,
-	})
-}
-
-// genParam parses an int64 query parameter, with a default when absent.
-func genParam(r *http.Request, key string, def int64) (int64, error) {
-	raw := r.URL.Query().Get(key)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad ?%s=%q: %w", key, raw, err)
-	}
-	return v, nil
-}
-
-func (s *server) diff(w http.ResponseWriter, r *http.Request) {
-	tl := s.c.Timeline()
-	if len(tl) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("no generations retained"))
-		return
-	}
-	from, err := genParam(r, "from", tl[0].Generation())
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	to, err := genParam(r, "to", tl[len(tl)-1].Generation())
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if from > to {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("from=%d exceeds to=%d", from, to))
-		return
-	}
-	d, err := s.c.Between(r.Context(), from, to)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, d)
+// routes mounts the shared read routes plus the router's own.
+func (s *server) routes() *http.ServeMux {
+	mux := http.NewServeMux()
+	s.api.Mount(mux)
+	mux.HandleFunc("GET /stats", s.stats)
+	mux.HandleFunc("POST /add", s.add)
+	return mux
 }
 
 func (s *server) stats(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.view(w)
+	v, ok := s.api.Latest(w)
 	if !ok {
 		return
 	}
-	g := v.Survey().Graph
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation":   v.Generation(),
-		"names":        v.NumNames(),
-		"servers":      g.NumHosts(),
-		"zones":        g.NumZones(),
-		"chains":       g.NumChains(),
-		"stale":        v.Stale(),
-		"stale_shards": v.StaleShards(),
-		"shards":       s.c.Status(),
-	})
+	out := httpapi.Dimensions(v)
+	staleFields(v, out)
+	out["shards"] = s.c.Status()
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 // addResult is one shard's answer to a /add fan-out.
@@ -346,14 +212,8 @@ type addResult struct {
 // re-merges. Names keep flowing to the shard that owns them, so a
 // later fan-out of the same name is an incremental no-op on the shard.
 func (s *server) add(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	names := strings.Fields(string(body))
-	if len(names) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("empty body: send whitespace-separated names"))
+	names, ok := httpapi.AddNames(w, r)
+	if !ok {
 		return
 	}
 	parts := s.ring.Assign(names)
@@ -383,7 +243,7 @@ func (s *server) add(w http.ResponseWriter, r *http.Request) {
 
 	fv, err := s.c.Commit(r.Context())
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, fmt.Errorf("re-merge failed (previous generation still serving): %w", err))
+		httpapi.WriteErr(w, http.StatusInternalServerError, fmt.Errorf("re-merge failed (previous generation still serving): %w", err))
 		return
 	}
 	status := http.StatusOK
@@ -392,7 +252,7 @@ func (s *server) add(w http.ResponseWriter, r *http.Request) {
 		// shards absorbed; the caller can retry the rest.
 		status = http.StatusBadGateway
 	}
-	writeJSON(w, status, map[string]any{
+	httpapi.WriteJSON(w, status, map[string]any{
 		"generation":    fv.Generation(),
 		"added":         len(names),
 		"names_total":   fv.NumNames(),

@@ -10,11 +10,10 @@
 //	            [-shard-name s0]
 //
 // On startup the daemon generates the synthetic world, crawls the
-// initial corpus, and then serves:
+// initial corpus, and then serves the read routes shared with dnsfleetd
+// (internal/httpapi: /summary, /tcb, /bottleneck, /generations, /diff)
+// over the Monitor's timeline, plus its own:
 //
-//	GET  /summary            headline statistics of the latest generation
-//	GET  /tcb?name=N         trusted computing base of a surveyed name
-//	GET  /bottleneck?name=N  §3.2 min-cut analysis of a name
 //	GET  /audit?name=N       §5 trust-audit findings for a name
 //	GET  /verdict?name=N     serving-path policy verdict (allow / flag /
 //	                         refuse) from the same lock-free cache
@@ -22,10 +21,6 @@
 //	                         name answers provisionally and is queued
 //	                         for a background crawl
 //	GET  /stats              crawl-engine counters and generation
-//	GET  /generations        the retained timeline (-retain bounds it)
-//	GET  /diff?from=&to=     typed trust delta between two retained
-//	                         generations (TCB drift, min-cut movement,
-//	                         zone/chain churn)
 //	GET  /watch?since=&grow=&limit=
 //	                         names whose TCB grew by >= grow hosts (or
 //	                         past limit total) since generation `since`
@@ -35,6 +30,8 @@
 //	                         committed since the caller's last fetch
 //	POST /add                whitespace-separated names in the body are
 //	                         added incrementally; responds with the delta
+//	                         (a body over 16 MiB answers 413, committing
+//	                         nothing)
 //	POST /snapshot           save the session snapshot now; responds with
 //	                         {generation, bytes, seconds}
 //
@@ -45,7 +42,7 @@
 //
 // -snapshot makes the session durable: the epoch store is saved to the
 // file atomically after the initial crawl, after every committed /add,
-// and on SIGTERM; at the next boot the daemon restores the last
+// and on SIGTERM (once in-flight requests have drained); at the next boot the daemon restores the last
 // committed generation from it in load time — skipping the initial
 // crawl entirely, with zero transport queries — and keeps extending it.
 // A kill at any point, mid-save included, leaves the previous complete
@@ -68,7 +65,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -77,13 +73,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
 
 	"dnstrust"
+	"dnstrust/internal/httpapi"
 	"dnstrust/internal/topology"
 	"dnstrust/internal/transport"
 	"dnstrust/internal/verdict"
@@ -149,7 +144,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("dnsmonitord: %v", err)
 	}
-	defer m.Close()
 	srv := &server{m: m, recLog: recLog, recPath: *record, snapPath: *snapshot}
 	// The verdict cache is the same structure dnstrustd consults on its
 	// serving hot path; here it backs /verdict. Commits advance it in
@@ -173,71 +167,59 @@ func main() {
 	}
 	m.OnCommit(func(v *dnstrust.View) { cache.Advance(v.Survey()) })
 	srv.cache = cache
-	if v := m.At(); v.Generation() > 0 {
+	v := m.At()
+	if v.Generation() > 0 {
 		// The snapshot restored the last committed generation; the
 		// initial crawl is already paid for.
-		var size int64
-		if fi, err := os.Stat(*snapshot); err == nil {
-			size = fi.Size()
-		}
 		log.Printf("snapshot: restored generation %d from %s (%d bytes, %.2fs, 0 transport queries)",
-			v.Generation(), *snapshot, size, time.Since(openStart).Seconds())
-		log.Printf("generation %d ready: %d names, %d nameservers (%.1fs); serving on %s",
-			v.Generation(), v.NumNames(), v.Survey().Graph.NumHosts(), time.Since(start).Seconds(), *addr)
+			v.Generation(), *snapshot, fileSize(*snapshot), time.Since(openStart).Seconds())
 	} else {
-		v, err := m.Add(ctx, m.World().Corpus...)
-		if err != nil {
+		if v, err = m.Add(ctx, m.World().Corpus...); err != nil {
 			m.Close()
 			// A partial recording survives an aborted initial crawl, like
 			// the query memo does.
 			srv.saveRecording()
 			log.Fatalf("dnsmonitord: initial crawl: %v", err)
 		}
-		log.Printf("generation %d ready: %d names, %d nameservers (%.1fs); serving on %s",
-			v.Generation(), v.NumNames(), v.Survey().Graph.NumHosts(), time.Since(start).Seconds(), *addr)
 		srv.saveRecording()
 		srv.saveSnapshot()
 	}
+	log.Printf("generation %d ready: %d names, %d nameservers (%.1fs); serving on %s",
+		v.Generation(), v.NumNames(), v.Survey().Graph.NumHosts(), time.Since(start).Seconds(), *addr)
 
-	// SIGTERM/SIGINT: save the snapshot (Close does, when configured)
-	// and exit cleanly. The atomic save means a second signal mid-save
-	// still leaves the previous snapshot loadable.
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
-	go func() {
-		sig := <-sigc
-		log.Printf("%v: saving session state and shutting down", sig)
-		shutStart := time.Now()
-		cache.Close()
-		if err := m.Close(); err != nil {
-			log.Printf("dnsmonitord: shutdown: %v", err)
-			os.Exit(1)
-		}
-		if *snapshot != "" {
-			var size int64
-			if fi, err := os.Stat(*snapshot); err == nil {
-				size = fi.Size()
-			}
-			log.Printf("snapshot: saved generation %d to %s (%d bytes, %.2fs)",
-				m.Generation(), *snapshot, size, time.Since(shutStart).Seconds())
-		}
-		os.Exit(0)
-	}()
+	// SIGTERM/SIGINT: drain in-flight requests, then save the snapshot
+	// (Close does, when configured) and exit cleanly. The atomic save
+	// means a second signal mid-save still leaves the previous snapshot
+	// loadable.
+	sigCtx, stop := signal.NotifyContext(ctx, syscall.SIGTERM, os.Interrupt)
+	defer stop()
+	serveErr := httpapi.Serve(sigCtx, *addr, srv.routes())
+	if serveErr != nil {
+		log.Printf("dnsmonitord: serve: %v", serveErr)
+	}
+	log.Printf("saving session state and shutting down")
+	shutStart := time.Now()
+	cache.Close()
+	if err := m.Close(); err != nil {
+		log.Fatalf("dnsmonitord: shutdown: %v", err)
+	}
+	if *snapshot != "" {
+		log.Printf("snapshot: saved generation %d to %s (%d bytes, %.2fs)",
+			m.Generation(), *snapshot, fileSize(*snapshot), time.Since(shutStart).Seconds())
+	}
+	if serveErr != nil {
+		os.Exit(1)
+	}
+}
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /summary", srv.summary)
-	mux.HandleFunc("GET /tcb", srv.tcb)
-	mux.HandleFunc("GET /bottleneck", srv.bottleneck)
-	mux.HandleFunc("GET /audit", srv.audit)
-	mux.HandleFunc("GET /verdict", srv.verdict)
-	mux.HandleFunc("GET /stats", srv.stats)
-	mux.HandleFunc("GET /generations", srv.generations)
-	mux.HandleFunc("GET /diff", srv.diff)
-	mux.HandleFunc("GET /watch", srv.watch)
-	mux.HandleFunc("POST /add", srv.add)
-	mux.HandleFunc("POST /snapshot", srv.snapshot)
-	mux.HandleFunc("GET /snapshot", srv.snapshotGet)
-	log.Fatal(http.ListenAndServe(*addr, mux))
+// fileSize reports a file's size for log lines (0 when it cannot be
+// read).
+func fileSize(path string) int64 {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return 0
+	}
+	return fi.Size()
 }
 
 // server exposes one shared Monitor. Handlers read from At()'s immutable
@@ -261,6 +243,22 @@ type server struct {
 	snapMu   sync.Mutex
 }
 
+// routes mounts the shared read routes over the Monitor's timeline plus
+// the monitor's own.
+func (s *server) routes() *http.ServeMux {
+	mux := http.NewServeMux()
+	api := &httpapi.API[*dnstrust.View]{Current: s.m.At, Timeline: s.m.Timeline, Between: s.m.BetweenContext}
+	api.Mount(mux)
+	mux.HandleFunc("GET /audit", s.audit)
+	mux.HandleFunc("GET /verdict", s.verdict)
+	mux.HandleFunc("GET /stats", s.stats)
+	mux.HandleFunc("GET /watch", s.watch)
+	mux.HandleFunc("POST /add", s.add)
+	mux.HandleFunc("POST /snapshot", s.snapshot)
+	mux.HandleFunc("GET /snapshot", s.snapshotGet)
+	return mux
+}
+
 // saveRecording writes the query log to disk, when recording.
 func (s *server) saveRecording() {
 	if s.recLog == nil {
@@ -276,113 +274,37 @@ func (s *server) saveRecording() {
 	}
 }
 
-// saveSnapshot persists the session snapshot after a committed crawl,
-// when configured, logging generation, size, and timing.
-func (s *server) saveSnapshot() {
+// saveSnapshot persists the session snapshot, when configured, logging
+// generation, size, and timing. Callers after a committed crawl may
+// ignore the result: a failure is logged, and the next commit retries.
+func (s *server) saveSnapshot() (n int64, elapsed time.Duration, err error) {
 	if s.snapPath == "" {
-		return
+		return 0, 0, nil
 	}
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	start := time.Now()
 	//lint:allow locksafety snapMu exists solely to serialize snapshot writers to one file; no reader ever takes it
-	n, err := s.m.SaveSnapshot(s.snapPath)
+	n, err = s.m.SaveSnapshot(s.snapPath)
+	elapsed = time.Since(start)
 	if err != nil {
 		log.Printf("dnsmonitord: snapshot not saved: %v", err)
-		return
+		return 0, elapsed, err
 	}
 	log.Printf("snapshot: saved generation %d to %s (%d bytes, %.2fs)",
-		s.m.Generation(), s.snapPath, n, time.Since(start).Seconds())
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// nameParam extracts ?name= or fails the request.
-func nameParam(w http.ResponseWriter, r *http.Request) (string, bool) {
-	name := r.URL.Query().Get("name")
-	if name == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("missing ?name= parameter"))
-		return "", false
-	}
-	return name, true
-}
-
-func (s *server) summary(w http.ResponseWriter, r *http.Request) {
-	v := s.m.At()
-	sum := v.Summary()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation":         v.Generation(),
-		"names":              sum.Names,
-		"servers":            sum.Servers,
-		"vulnerable_servers": sum.VulnerableServers,
-		"affected_names":     sum.AffectedNames,
-		"tcb_mean":           sum.TCB.Mean(),
-		"tcb_median":         sum.TCB.Median(),
-		"tcb_max":            sum.TCB.Max(),
-		"direct_mean":        sum.DirectMean,
-		"owned_mean":         sum.OwnedMean,
-	})
-}
-
-func (s *server) tcb(w http.ResponseWriter, r *http.Request) {
-	name, ok := nameParam(w, r)
-	if !ok {
-		return
-	}
-	v := s.m.At()
-	tcb, err := v.TCB(name)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation": v.Generation(),
-		"name":       name,
-		"tcb_size":   len(tcb),
-		"tcb":        tcb,
-	})
-}
-
-func (s *server) bottleneck(w http.ResponseWriter, r *http.Request) {
-	name, ok := nameParam(w, r)
-	if !ok {
-		return
-	}
-	v := s.m.At()
-	res, err := v.Bottleneck(name)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation":  v.Generation(),
-		"name":        name,
-		"cut":         res.Cut,
-		"cut_size":    res.Size,
-		"safe_in_cut": res.SafeInCut,
-		"vuln_in_cut": res.VulnInCut,
-	})
+		s.m.Generation(), s.snapPath, n, elapsed.Seconds())
+	return n, elapsed, nil
 }
 
 func (s *server) audit(w http.ResponseWriter, r *http.Request) {
-	name, ok := nameParam(w, r)
+	name, ok := httpapi.NameParam(w, r)
 	if !ok {
 		return
 	}
 	v := s.m.At()
 	findings, err := v.Audit(name)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		httpapi.WriteErr(w, http.StatusNotFound, err)
 		return
 	}
 	out := make([]map[string]string, 0, len(findings))
@@ -393,7 +315,7 @@ func (s *server) audit(w http.ResponseWriter, r *http.Request) {
 			"finding":  f.String(),
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"generation": v.Generation(),
 		"name":       name,
 		"findings":   out,
@@ -405,12 +327,12 @@ func (s *server) audit(w http.ResponseWriter, r *http.Request) {
 // (flagged) and queues a background crawl — poll again after it commits
 // for the real verdict.
 func (s *server) verdict(w http.ResponseWriter, r *http.Request) {
-	name, ok := nameParam(w, r)
+	name, ok := httpapi.NameParam(w, r)
 	if !ok {
 		return
 	}
 	v := s.cache.Lookup(name)
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"name":        v.Name,
 		"level":       v.Level.String(),
 		"reasons":     v.Reasons.Strings(),
@@ -425,19 +347,14 @@ func (s *server) verdict(w http.ResponseWriter, r *http.Request) {
 func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 	v := s.m.At()
 	st := v.Survey().Stats
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation":        v.Generation(),
-		"names":             v.NumNames(),
-		"servers":           v.Survey().Graph.NumHosts(),
-		"zones":             v.Survey().Graph.NumZones(),
-		"chains":            v.Survey().Graph.NumChains(),
-		"transport_queries": s.m.Queries(),
-		"memo_hits":         st.Walker.MemoHits,
-		"shared_walks":      st.Walker.SharedWalks,
-		"walk_seconds":      st.WalkTime.Seconds(),
-		"build_seconds":     st.BuildTime.Seconds(),
-		"verdict_cache":     verdictStats(s.cache.Stats()),
-	})
+	out := httpapi.Dimensions(v)
+	out["transport_queries"] = s.m.Queries()
+	out["memo_hits"] = st.Walker.MemoHits
+	out["shared_walks"] = st.Walker.SharedWalks
+	out["walk_seconds"] = st.WalkTime.Seconds()
+	out["build_seconds"] = st.BuildTime.Seconds()
+	out["verdict_cache"] = verdictStats(s.cache.Stats())
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 // verdictStats flattens cache counters for the /stats payload.
@@ -456,71 +373,6 @@ func verdictStats(cs verdict.Stats) map[string]any {
 	}
 }
 
-// genParam parses an int64 query parameter, with a default when absent.
-func genParam(r *http.Request, key string, def int64) (int64, error) {
-	raw := r.URL.Query().Get(key)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad ?%s=%q: %w", key, raw, err)
-	}
-	return v, nil
-}
-
-func (s *server) generations(w http.ResponseWriter, r *http.Request) {
-	tl := s.m.Timeline()
-	out := make([]map[string]any, 0, len(tl))
-	for _, v := range tl {
-		g := v.Survey().Graph
-		out = append(out, map[string]any{
-			"generation": v.Generation(),
-			"names":      v.NumNames(),
-			"servers":    g.NumHosts(),
-			"zones":      g.NumZones(),
-			"chains":     g.NumChains(),
-		})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"retained":    len(tl),
-		"generations": out,
-	})
-}
-
-// timelineRange resolves ?from= and ?to= against the retained timeline
-// (defaults: oldest retained, latest committed).
-func (s *server) timelineRange(r *http.Request) (from, to int64, err error) {
-	tl := s.m.Timeline()
-	if len(tl) == 0 {
-		return 0, 0, errors.New("no generations retained")
-	}
-	from, err = genParam(r, "from", tl[0].Generation())
-	if err != nil {
-		return 0, 0, err
-	}
-	to, err = genParam(r, "to", tl[len(tl)-1].Generation())
-	return from, to, err
-}
-
-func (s *server) diff(w http.ResponseWriter, r *http.Request) {
-	from, to, err := s.timelineRange(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if from > to {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("from=%d exceeds to=%d", from, to))
-		return
-	}
-	d, err := s.m.BetweenContext(r.Context(), from, to)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, d)
-}
-
 // watch flags drifting names: TCB grown by at least ?grow= hosts (default
 // 1) since generation ?since= (default the oldest retained), plus names
 // whose TCB crossed the absolute ?limit= threshold between the
@@ -528,32 +380,32 @@ func (s *server) diff(w http.ResponseWriter, r *http.Request) {
 func (s *server) watch(w http.ResponseWriter, r *http.Request) {
 	tl := s.m.Timeline()
 	if len(tl) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("no generations retained"))
+		httpapi.WriteErr(w, http.StatusBadRequest, errors.New("no generations retained"))
 		return
 	}
 	to := tl[len(tl)-1].Generation()
-	since, err := genParam(r, "since", tl[0].Generation())
+	since, err := httpapi.GenParam(r, "since", tl[0].Generation())
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		httpapi.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	grow, err := genParam(r, "grow", 1)
+	grow, err := httpapi.GenParam(r, "grow", 1)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		httpapi.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	limit, err := genParam(r, "limit", 0)
+	limit, err := httpapi.GenParam(r, "limit", 0)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		httpapi.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	if since > to {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("since=%d exceeds the latest generation %d", since, to))
+		httpapi.WriteErr(w, http.StatusBadRequest, fmt.Errorf("since=%d exceeds the latest generation %d", since, to))
 		return
 	}
 	d, err := s.m.BetweenContext(r.Context(), since, to)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		httpapi.WriteErr(w, http.StatusNotFound, err)
 		return
 	}
 	grew := make([]map[string]any, 0)
@@ -577,7 +429,7 @@ func (s *server) watch(w http.ResponseWriter, r *http.Request) {
 	// cuts are first-observation-wins immutable); they surface when
 	// diffing independent recordings — dnssurvey -diff / DiffLogs — so
 	// the watch response does not carry a perpetually empty field.
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"since":         since,
 		"to":            to,
 		"min_growth":    grow,
@@ -587,14 +439,8 @@ func (s *server) watch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) add(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	names := strings.Fields(string(body))
-	if len(names) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("empty body: send whitespace-separated names"))
+	names, ok := httpapi.AddNames(w, r)
+	if !ok {
 		return
 	}
 	prev := s.m.At()
@@ -602,7 +448,7 @@ func (s *server) add(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	v, err := s.m.Add(r.Context(), names...)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, fmt.Errorf("add failed (previous generation still serving): %w", err))
+		httpapi.WriteErr(w, http.StatusInternalServerError, fmt.Errorf("add failed (previous generation still serving): %w", err))
 		return
 	}
 	s.saveRecording()
@@ -615,7 +461,7 @@ func (s *server) add(w http.ResponseWriter, r *http.Request) {
 			perName[n] = "failed: " + ferr.Error()
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"generation":        v.Generation(),
 		"added":             len(names),
 		"names_total":       v.NumNames(),
@@ -667,22 +513,15 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // snapshot saves the session snapshot on demand (POST /snapshot).
 func (s *server) snapshot(w http.ResponseWriter, r *http.Request) {
 	if s.snapPath == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("daemon started without -snapshot"))
+		httpapi.WriteErr(w, http.StatusBadRequest, errors.New("daemon started without -snapshot"))
 		return
 	}
-	s.snapMu.Lock()
-	start := time.Now()
-	//lint:allow locksafety snapMu exists solely to serialize snapshot writers to one file; no reader ever takes it
-	n, err := s.m.SaveSnapshot(s.snapPath)
-	elapsed := time.Since(start)
-	s.snapMu.Unlock()
+	n, elapsed, err := s.saveSnapshot()
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		httpapi.WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	log.Printf("snapshot: saved generation %d to %s (%d bytes, %.2fs)",
-		s.m.Generation(), s.snapPath, n, elapsed.Seconds())
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"generation": s.m.Generation(),
 		"bytes":      n,
 		"seconds":    elapsed.Seconds(),

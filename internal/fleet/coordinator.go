@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dnstrust/internal/analysis"
@@ -16,6 +16,7 @@ import (
 	"dnstrust/internal/core"
 	"dnstrust/internal/crawler"
 	"dnstrust/internal/delta"
+	"dnstrust/internal/readview"
 	"dnstrust/internal/snapshot"
 	"dnstrust/internal/vulndb"
 )
@@ -143,10 +144,7 @@ type Coordinator struct {
 	memo   *analysis.ChainMemo
 	gen    int64
 
-	view atomic.Pointer[FleetView]
-
-	tlMu     sync.Mutex
-	timeline []*FleetView
+	tl *readview.Timeline[FleetView, *FleetView]
 
 	stMu   sync.Mutex
 	status []ShardStatus
@@ -168,6 +166,7 @@ func New(shards []Shard, cfg Config) (*Coordinator, error) {
 		vulns:     make(map[string][]vulndb.Vuln),
 		db:        vulndb.Default(),
 		memo:      analysis.NewChainMemo(),
+		tl:        readview.NewTimeline[FleetView](cfg.retain()),
 	}
 	seen := make(map[string]bool, len(shards))
 	for _, s := range shards {
@@ -199,12 +198,12 @@ func (c *Coordinator) ShardNames() []string {
 
 // Current returns the latest committed FleetView, or nil before the
 // first successful Commit. It never blocks behind an in-flight commit.
-func (c *Coordinator) Current() *FleetView { return c.view.Load() }
+func (c *Coordinator) Current() *FleetView { return c.tl.Current() }
 
 // Generation reports the latest committed fleet generation (0 before
 // the first Commit).
 func (c *Coordinator) Generation() int64 {
-	if v := c.view.Load(); v != nil {
+	if v := c.tl.Current(); v != nil {
 		return v.Generation()
 	}
 	return 0
@@ -212,37 +211,14 @@ func (c *Coordinator) Generation() int64 {
 
 // Timeline returns the retained committed generations, oldest to
 // newest. Retained views share the union store copy-on-write.
-func (c *Coordinator) Timeline() []*FleetView {
-	c.tlMu.Lock()
-	defer c.tlMu.Unlock()
-	return append([]*FleetView(nil), c.timeline...)
-}
+func (c *Coordinator) Timeline() []*FleetView { return c.tl.Views() }
 
 // Between computes the typed trust delta from fleet generation from to
 // generation to; both must still be retained.
 func (c *Coordinator) Between(ctx context.Context, from, to int64) (*delta.Delta, error) {
-	if from > to {
-		return nil, fmt.Errorf("fleet: Between(%d, %d): from exceeds to", from, to)
-	}
-	var vf, vt *FleetView
-	c.tlMu.Lock()
-	lo, hi := int64(-1), int64(-1)
-	for _, v := range c.timeline {
-		g := v.Generation()
-		if lo < 0 {
-			lo = g
-		}
-		hi = g
-		if g == from {
-			vf = v
-		}
-		if g == to {
-			vt = v
-		}
-	}
-	c.tlMu.Unlock()
-	if vf == nil || vt == nil {
-		return nil, fmt.Errorf("fleet: generations %d..%d not retained (timeline holds %d..%d; raise Config.Retain)", from, to, lo, hi)
+	vf, vt, err := c.tl.Span(from, to)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	return vt.Diff(ctx, vf)
 }
@@ -358,7 +334,7 @@ func (c *Coordinator) Commit(ctx context.Context) (*FleetView, error) {
 		}
 	}
 	if changedShards == 0 {
-		if prev := c.view.Load(); prev != nil && stringSlicesEqual(prev.stale, staleNames) {
+		if prev := c.tl.Current(); prev != nil && slices.Equal(prev.stale, staleNames) {
 			c.publishStatus()
 			return prev, nil
 		}
@@ -373,10 +349,10 @@ func (c *Coordinator) Commit(ctx context.Context) (*FleetView, error) {
 		c.applyEpochLocked(st, eps[i])
 		st.gen = eps[i].Generation
 	}
-	prev := c.view.Load()
+	prev := c.tl.Current()
 	var prevSurvey *crawler.Survey
 	if prev != nil {
-		prevSurvey = prev.survey
+		prevSurvey = prev.Survey()
 	}
 	g := c.b.FinishEpoch()
 	late := c.b.TakeLateAttached()
@@ -405,26 +381,13 @@ func (c *Coordinator) Commit(ctx context.Context) (*FleetView, error) {
 		}
 	}
 	fv := &FleetView{
-		survey:  sv,
-		memo:    c.memo,
+		Core:    readview.New(sv, c.memo),
 		stale:   staleNames,
 		shards:  c.statusSnapshot(),
 		changed: changed,
 	}
-	// View pointer and timeline commit inside one critical section, as
-	// in the single-monitor path: a reader who saw the new generation
-	// via Current() finds it in the timeline.
-	c.tlMu.Lock()
-	c.view.Store(fv)
-	c.timeline = append(c.timeline, fv)
-	evicted := len(c.timeline) > c.cfg.retain()
-	if evicted {
-		c.timeline = append([]*FleetView(nil), c.timeline[len(c.timeline)-c.cfg.retain():]...)
-	}
-	oldest := c.timeline[0]
-	c.tlMu.Unlock()
-	if evicted {
-		c.b.PruneJournal(oldest.survey.Graph.Epoch())
+	if oldest := c.tl.Commit(fv); oldest != nil {
+		c.b.PruneJournal(oldest.Survey().Graph.Epoch())
 	}
 	c.mu.Unlock()
 
@@ -568,16 +531,4 @@ func (c *Coordinator) writeSnapshotQuiesced(w io.Writer) error {
 	}
 
 	return sw.Finish()
-}
-
-func stringSlicesEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -601,3 +601,21 @@ func BenchmarkFleetMerge(b *testing.B) {
 		}
 	}
 }
+
+// TestFleetViewDiffNil checks that diffing against a nil view errors
+// like the single-monitor View does, instead of panicking.
+func TestFleetViewDiffNil(t *testing.T) {
+	world := genWorld(t, 39, 60)
+	shards, _ := crawlShards(t, world, fleet.NewRing([]string{"s0"}, 0))
+	c, err := fleet.New(shards, fleet.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fv, err := c.Commit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fv.Diff(context.Background(), nil); err == nil {
+		t.Error("Diff(ctx, nil) must error")
+	}
+}

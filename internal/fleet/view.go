@@ -2,12 +2,9 @@ package fleet
 
 import (
 	"context"
-	"sync"
 
-	"dnstrust/internal/analysis"
-	"dnstrust/internal/crawler"
 	"dnstrust/internal/delta"
-	"dnstrust/internal/mincut"
+	"dnstrust/internal/readview"
 )
 
 // ShardStatus is one shard's health as observed at a commit.
@@ -29,16 +26,15 @@ type ShardStatus struct {
 }
 
 // FleetView is one committed fleet generation: the merged survey of
-// every shard's last applied epoch, frozen at the commit point. Like
-// the single-monitor View it is immutable — analyses are memoized
-// behind a Once or a private mutex, collections leave through
-// defensive copies — and stays valid (and cheap, via copy-on-write
-// store sharing) after newer generations commit.
+// every shard's last applied epoch, frozen at the commit point. Its read
+// core is the single-monitor View's — immutable, analyses memoized per
+// view, collections leaving through defensive copies — and it stays
+// valid (and cheap, via copy-on-write store sharing) after newer
+// generations commit.
 //
 //lint:immutable
 type FleetView struct {
-	survey *crawler.Survey
-	memo   *analysis.ChainMemo
+	readview.Core
 
 	// stale lists the shards (sorted) whose fetch failed at this
 	// commit; shards holds every shard's status at the commit.
@@ -48,26 +44,7 @@ type FleetView struct {
 	// changed lists the names (sorted) whose mapping moved since the
 	// previous committed view — the journal feeding blast/delta reads.
 	changed []string
-
-	summaryOnce sync.Once
-	summary     *analysis.Summary
-
-	botMu    sync.Mutex
-	botStats *analysis.BottleneckStats
 }
-
-// Generation returns the fleet generation this view was committed at.
-func (v *FleetView) Generation() int64 { return v.survey.Stats.Generation }
-
-// Survey exposes the merged survey dataset for analyses beyond the
-// view's own accessors. Treat it as read-only, like the view.
-func (v *FleetView) Survey() *crawler.Survey { return v.survey }
-
-// Names returns the merged resolved names, sorted.
-func (v *FleetView) Names() []string { return append([]string(nil), v.survey.Names...) }
-
-// NumNames reports the merged resolved-name count.
-func (v *FleetView) NumNames() int { return v.survey.Graph.NumNames() }
 
 // Stale reports whether any shard's contribution is stale: at least
 // one fetch failed at this commit, so the view is a quorum-approved
@@ -87,49 +64,13 @@ func (v *FleetView) Shards() []ShardStatus { return append([]ShardStatus(nil), v
 // generation reports every name.
 func (v *FleetView) Changed() []string { return append([]string(nil), v.changed...) }
 
-// TCB returns a name's transitive trusted computing base, sorted.
-func (v *FleetView) TCB(name string) ([]string, error) {
-	return v.survey.Graph.TCB(name)
-}
-
-// Summary computes (once) the paper's headline numbers over the merged
-// survey.
-func (v *FleetView) Summary() *analysis.Summary {
-	v.summaryOnce.Do(func() {
-		v.summary = analysis.SummarizeMemo(v.survey, v.survey.Names, v.memo)
-	})
-	return v.summary
-}
-
-// Bottleneck computes the minimum-cut bottleneck of one name's trust
-// graph, served from the fleet's cross-generation chain memo.
-func (v *FleetView) Bottleneck(name string) (*mincut.Result, error) {
-	return analysis.BottleneckOfMemo(v.survey, name, v.memo)
-}
-
-// Bottlenecks computes (once, on success) bottleneck statistics over
-// the whole merged corpus. Errors — cancellation — are returned and
-// never cached.
-func (v *FleetView) Bottlenecks(ctx context.Context) (*analysis.BottleneckStats, error) {
-	v.botMu.Lock()
-	defer v.botMu.Unlock()
-	if v.botStats != nil {
-		return v.botStats, nil
-	}
-	st, err := analysis.BottlenecksMemo(ctx, v.survey, v.survey.Names, 0, v.memo)
-	if err != nil {
-		return nil, err
-	}
-	v.botStats = st
-	return st, nil
-}
-
-// Diff computes the typed trust delta from older to v. Both views
-// share the coordinator's union store, so retained-window diffs take
-// the journal-backed incremental path.
+// Diff computes the typed trust delta from older to v; a nil older is
+// an error. Both views share the coordinator's union store, so
+// retained-window diffs take the journal-backed incremental path.
 func (v *FleetView) Diff(ctx context.Context, older *FleetView) (*delta.Delta, error) {
-	return delta.Compute(ctx, older.survey, v.survey, delta.Options{
-		OldMemo: older.memo,
-		NewMemo: v.memo,
-	})
+	var oc *readview.Core
+	if older != nil {
+		oc = &older.Core
+	}
+	return v.Core.Diff(ctx, oc)
 }

@@ -478,3 +478,12 @@ func TestDiffLogsIdenticalRecordings(t *testing.T) {
 		t.Fatalf("identical recordings diffed to %+v, want empty", d)
 	}
 }
+
+// TestViewDiffContextNil checks that a nil older view is an error on
+// the context-taking path too, never a nil dereference.
+func TestViewDiffContextNil(t *testing.T) {
+	m := openTestMonitor(t, Options{Seed: 11, Names: 40})
+	if _, err := m.At().DiffContext(context.Background(), nil); err == nil {
+		t.Error("DiffContext(ctx, nil) must error")
+	}
+}
