@@ -392,6 +392,35 @@ func BenchmarkMonitorIncrementalAdd(b *testing.B) {
 	})
 }
 
+// BenchmarkFinishEpochSmallBatch measures one commit's closure pass at
+// the resident-store size of the commit workload: a 2000-name store
+// absorbs a 5-name batch (a new hosting domain and its names) and
+// FinishEpoch runs. Only the batch's dirty cone is re-unioned, so
+// ns/op and allocs/op follow the batch; a return to an O(corpus)
+// recompute shows as a jump in both. The store is rebuilt every 200
+// batches so it stays near its resident size.
+func BenchmarkFinishEpochSmallBatch(b *testing.B) {
+	const resident, batch, total = 2000, 5, 1 << 20
+	b.ReportAllocs()
+	var bu *core.Builder
+	next := resident
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if i%200 == 0 {
+			bu = core.NewBuilder(resident)
+			core.FeedSyntheticRange(bu, 0, resident, total)
+			bu.FinishEpoch()
+			next = resident
+		}
+		core.FeedSyntheticRange(bu, next, next+batch, total)
+		next += batch
+		b.StartTimer()
+		if g := bu.FinishEpoch(); g.NumNames() != next {
+			b.Fatalf("epoch holds %d names, want %d", g.NumNames(), next)
+		}
+	}
+}
+
 // BenchmarkViewQueryThroughput measures the Monitor's read side:
 // parallel TCB and Bottleneck queries against committed views while an
 // Add crawls the second half of the corpus. Reads never block on the

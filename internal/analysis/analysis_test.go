@@ -339,6 +339,42 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestSummarizeOwnedMatchesPerName pins OwnedMean and DirectMean to the
+// per-name definitions (core.Graph.OwnedServers and DirectNS), summed in
+// the same order, so the per-chain and per-host memoization inside
+// Summarize cannot drift from them.
+func TestSummarizeOwnedMatchesPerName(t *testing.T) {
+	_, s := survey(t)
+	g := s.Graph
+	var ownedSum, directSum float64
+	counted := 0
+	for _, n := range s.Names {
+		cid, ok := g.NameChainID(n)
+		if !ok || len(g.ChainZoneIDs(cid)) == 0 {
+			continue
+		}
+		owned, _, err := g.OwnedServers(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := g.DirectNS(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ownedSum += float64(len(owned))
+		directSum += float64(len(direct))
+		counted++
+	}
+	sum := analysis.Summarize(s, s.Names)
+	if counted == 0 || sum.OwnedMean != ownedSum/float64(counted) || sum.DirectMean != directSum/float64(counted) {
+		t.Fatalf("owned/direct mean = %v/%v, per-name %v/%v over %d names",
+			sum.OwnedMean, sum.DirectMean, ownedSum/float64(counted), directSum/float64(counted), counted)
+	}
+	if ownedSum == 0 {
+		t.Fatal("no name owns a TCB server: the comparison is vacuous")
+	}
+}
+
 func TestSafetyDistribution(t *testing.T) {
 	_, s := survey(t)
 	safety := analysis.TCBSafety(s, s.Names)

@@ -53,6 +53,17 @@ func SummarizeMemo(s *crawler.Survey, names []string, memo *ChainMemo) *Summary 
 		rd  string
 	}
 	ownedByChainRD := map[ownKey]int{}
+	// A host's registered domain never changes: derive it once per host
+	// id, not once per (chain, registered domain) key it appears under.
+	hostRD := make([]string, g.NumHosts())
+	hostRDDone := make([]bool, g.NumHosts())
+	registered := func(id int32) string {
+		if !hostRDDone[id] {
+			hostRD[id], _ = dnsname.RegisteredDomain(g.Host(id))
+			hostRDDone[id] = true
+		}
+		return hostRD[id]
+	}
 
 	var ownedSum, directSum float64
 	counted := 0
@@ -76,7 +87,7 @@ func SummarizeMemo(s *crawler.Survey, names []string, memo *ChainMemo) *Summary 
 			owned, ok = ownedByChainRD[key]
 			if !ok {
 				for _, id := range g.ChainTCBIDs(cid) {
-					if hrd, err2 := dnsname.RegisteredDomain(g.Host(id)); err2 == nil && hrd == rd {
+					if registered(id) == rd {
 						owned++
 					}
 				}

@@ -7,6 +7,7 @@
 package atomicio
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -17,15 +18,21 @@ import (
 // rename cannot cross filesystems), fsynced, and renamed over path only
 // after write returned nil and the file is durably on disk. On any
 // failure the temporary file is removed and the previous content of path
-// is untouched. It returns the number of bytes written.
+// is untouched. Writes are buffered, so write may issue many small ones.
+// It returns the number of bytes written.
 func WriteFile(path string, write func(io.Writer) error) (int64, error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return 0, fmt.Errorf("atomicio: %w", err)
 	}
-	cw := &countingWriter{w: f}
-	if err := write(cw); err != nil {
+	bw := bufio.NewWriterSize(f, 64<<10)
+	cw := &countingWriter{w: bw}
+	err = write(cw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return 0, fmt.Errorf("atomicio: %s: %w", tmp, err)

@@ -72,12 +72,16 @@ type Builder struct {
 	// epochHosts is the host-table length at the last FinishEpoch: hosts
 	// below this index already appeared in a finalized Graph.
 	epochHosts int
-	// lateAttached collects pre-epoch host ids whose address chain was
-	// attached after the host had been published in a finalized Graph —
-	// the only way an already-finalized zone's dependency structure (and
-	// therefore any chain's TCB or min-cut digraph) can change between
-	// epochs. Consumers drain it with TakeLateAttached to invalidate
-	// per-chain analysis memos precisely.
+	// attached lists the pre-epoch host ids whose address chain was
+	// attached since the last FinishEpoch — the only way an
+	// already-finalized zone's dependency structure (and therefore any
+	// chain's TCB or min-cut digraph) can change between epochs. It
+	// seeds FinishEpoch's dirty cone and is reset there; each host
+	// appears at most once, since a chain is attached at most once.
+	attached []int32
+	// lateAttached accumulates the attached sets of finished epochs until
+	// a consumer drains it with TakeLateAttached to invalidate per-chain
+	// analysis memos precisely.
 	lateAttached map[int32]struct{}
 
 	// Scratch buffers reused across interning calls.
@@ -170,9 +174,7 @@ func (b *Builder) ObserveChain(key string, chain []string) {
 			b.lock()
 			b.attachChainLocked(hid, b.internChainIDLocked(chain))
 			b.unlock()
-			if int(hid) < b.epochHosts {
-				b.lateAttached[hid] = struct{}{}
-			}
+			b.noteAttached(hid)
 		}
 		return
 	}
@@ -395,6 +397,14 @@ func (b *Builder) internChainFromIDsLocked(ids []int32) int32 {
 	return cid
 }
 
+// noteAttached records a chain attachment to host hid for the next
+// epoch's dirty cone when the host was already published.
+func (b *Builder) noteAttached(hid int32) {
+	if int(hid) < b.epochHosts {
+		b.attached = append(b.attached, hid)
+	}
+}
+
 // chainSliceLocked returns the shared zone-id slice of an interned
 // chain, never nil: a resolved-but-empty chain must stay distinguishable
 // from "no chain known" in hostChain.
@@ -437,10 +447,15 @@ func (b *Builder) Finish() *Graph {
 //   - the intern maps are shared under the store's read-write lock
 //     instead of being cloned per epoch.
 //
-// The per-epoch cost is therefore the closure pass plus O(zones+chains)
-// slice headers, with inner closure/TCB slices aliased to the previous
-// epoch whenever unchanged — N retained generations of a large survey
-// share one copy of almost everything.
+// The closure pass re-unions only the dirty cone: zones that are new or
+// list a host whose chain attached since the last epoch, the zones that
+// reach them, and the chains through those zones. Everything else
+// aliases the previous epoch's closure/TCB slices, so the sorting and
+// allocation follow the batch; what stays linear in the store is the
+// Tarjan pass over a fixed set of buffers, the table headers, and — when
+// a host attached late — one scan of the clean TCBs for the stamp rule. N
+// retained generations of a large survey share one copy of almost
+// everything.
 func (b *Builder) FinishEpoch() *Graph {
 	st := b.st
 	b.epoch++
@@ -451,8 +466,8 @@ func (b *Builder) FinishEpoch() *Graph {
 	// big one — streams in without any locking.
 	if !b.shared && len(st.zones) == 0 && len(st.hosts) == 0 && len(st.base) == 0 && len(st.names) == 0 {
 		eg := &Graph{st: newStore(0), epoch: b.epoch}
-		eg.computeClosures(nil, nil)
-		eg.computeChainTCBs(nil, nil)
+		eg.computeClosures(nil, nil, nil)
+		eg.computeChainTCBs(nil, nil, nil)
 		return eg
 	}
 
@@ -465,8 +480,17 @@ func (b *Builder) FinishEpoch() *Graph {
 		zoneNS:   st.zoneNS[:len(st.zoneNS):len(st.zoneNS)],
 		numNames: b.numNames(),
 	}
-	g.computeClosures(b.prev, st.hostChain)
-	g.computeChainTCBs(b.prev, b.lateAttached)
+	var late []bool
+	if len(b.attached) > 0 {
+		late = make([]bool, len(st.hosts))
+		for _, h := range b.attached {
+			late[h] = true
+			b.lateAttached[h] = struct{}{}
+		}
+		b.attached = b.attached[:0]
+	}
+	changed := g.computeClosures(b.prev, st.hostChain, late)
+	g.computeChainTCBs(b.prev, late, changed)
 	if len(b.touched) > 0 {
 		b.lock()
 		st.touched[b.epoch] = b.touched
@@ -505,14 +529,15 @@ func (b *Builder) PruneJournal(upTo int64) {
 	b.unlock()
 }
 
-// TakeLateAttached returns and clears the set of host ids — all below the
-// previous epoch's host count — whose address chain was attached since
-// the previous FinishEpoch. These are the only hosts through which an
-// already-finalized epoch's dependency structure can differ from the next
-// epoch's: a delegation chain whose TCB avoids all of them has an
-// identical TCB and min-cut digraph in both epochs, so per-chain analysis
-// memos need only invalidate chains whose TCB intersects this set. Call
-// it between FinishEpoch and the next batch of events.
+// TakeLateAttached returns and clears the set of host ids whose address
+// chain was attached, in an epoch finished since the last call, after
+// the host had been published in an earlier epoch. These are the only
+// hosts through which an already-finalized epoch's dependency structure
+// can differ from the next epoch's: a delegation chain whose TCB avoids
+// all of them has an identical TCB and min-cut digraph in both epochs,
+// so per-chain analysis memos need only invalidate chains whose TCB
+// intersects this set. Call it after FinishEpoch; attachments absorbed
+// since are reported after the epoch that publishes them.
 func (b *Builder) TakeLateAttached() []int32 {
 	if len(b.lateAttached) == 0 {
 		return nil

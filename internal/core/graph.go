@@ -23,6 +23,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -466,27 +467,53 @@ func (g *Graph) Detach() *Graph {
 // computeClosures condenses the zone dependency digraph with Tarjan's
 // algorithm and unions server sets bottom-up over the condensation DAG.
 // hostChain is the builder's current chain table (every attach is
-// visible to the epoch being finalized). When prev is the previous
-// epoch's graph, closure and adjacency slices equal to the previous
-// epoch's alias them, so retained generations share storage.
-func (g *Graph) computeClosures(prev *Graph, hostChain [][]int32) {
+// visible to the epoch being finalized).
+//
+// Only the dirty cone is recomputed. Zone NS sets are immutable and a
+// host's chain is attached at most once, so a zone's adjacency can
+// differ from prev's only when the zone is new or one of its NS hosts is
+// marked in late (attached since prev). Every other zone aliases
+// prev.zoneAdj. An SCC is re-unioned only when a member's adjacency
+// changed or a successor SCC's closure changed; otherwise its members
+// reached exactly the zones they reached in prev and alias prev.closure.
+// With prev nil every zone is new, which is the full compute. The result
+// reports, per zone, whether its closure differs from prev's.
+func (g *Graph) computeClosures(prev *Graph, hostChain [][]int32, late []bool) (changed []bool) {
 	n := len(g.zones)
 	g.closure = make([][]int32, n)
+	g.zoneAdj = make([][]int32, n)
+	changed = make([]bool, n)
 	if n == 0 {
-		g.zoneAdj = make([][]int32, 0)
-		return
+		return changed
+	}
+	old := 0
+	if prev != nil {
+		old = len(prev.zoneAdj)
 	}
 
-	zoneDeps := func(z int32) []int32 {
+	// adjDirty[z]: z's adjacency differs from prev's (always, for new
+	// zones).
+	adj := g.zoneAdj
+	adjDirty := make([]bool, n)
+	for z := 0; z < n; z++ {
+		if z < old && !anyMarked(g.zoneNS[z], late) {
+			adj[z] = prev.zoneAdj[z]
+			continue
+		}
 		var deps []int32
 		for _, h := range g.zoneNS[z] {
 			deps = append(deps, hostChain[h]...)
 		}
 		sortUnique(&deps)
-		return deps
+		if z < old && int32sEqual(prev.zoneAdj[z], deps) {
+			adj[z] = prev.zoneAdj[z]
+			continue
+		}
+		adj[z] = deps
+		adjDirty[z] = true
 	}
 
-	// Iterative Tarjan SCC.
+	// Iterative Tarjan SCC. Members of SCC c are order[start[c]:start[c+1]].
 	const unvisited = -1
 	index := make([]int32, n)
 	low := make([]int32, n)
@@ -496,34 +523,29 @@ func (g *Graph) computeClosures(prev *Graph, hostChain [][]int32) {
 		index[i] = unvisited
 		comp[i] = unvisited
 	}
-	adj := make([][]int32, n)
-	for z := 0; z < n; z++ {
-		adj[z] = zoneDeps(int32(z))
-		if prev != nil && z < len(prev.zoneAdj) && int32sEqual(prev.zoneAdj[z], adj[z]) {
-			adj[z] = prev.zoneAdj[z]
-		}
-	}
-	g.zoneAdj = adj
 
-	var stack []int32
+	// Every buffer is sized for n up front, so the pass allocates a fixed
+	// number of times whatever the graph's shape.
+	stack := make([]int32, 0, n)
+	order := make([]int32, 0, n)
+	start := make([]int32, 1, n+1)
 	var sccCount int32
-	var sccMembers [][]int32
 
 	type frame struct {
 		v    int32
 		edge int
 	}
 	var next int32
-	var callStack []frame
-	for start := int32(0); start < int32(n); start++ {
-		if index[start] != unvisited {
+	callStack := make([]frame, 0, n)
+	for root := int32(0); root < int32(n); root++ {
+		if index[root] != unvisited {
 			continue
 		}
-		callStack = append(callStack[:0], frame{v: start})
-		index[start], low[start] = next, next
+		callStack = append(callStack[:0], frame{v: root})
+		index[root], low[root] = next, next
 		next++
-		stack = append(stack, start)
-		onStack[start] = true
+		stack = append(stack, root)
+		onStack[root] = true
 		for len(callStack) > 0 {
 			f := &callStack[len(callStack)-1]
 			if f.edge < len(adj[f.v]) {
@@ -550,18 +572,17 @@ func (g *Graph) computeClosures(prev *Graph, hostChain [][]int32) {
 				}
 			}
 			if low[v] == index[v] {
-				var members []int32
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
+				i := len(stack) - 1
+				for stack[i] != v {
+					i--
+				}
+				for _, w := range stack[i:] {
 					onStack[w] = false
 					comp[w] = sccCount
-					members = append(members, w)
-					if w == v {
-						break
-					}
 				}
-				sccMembers = append(sccMembers, members)
+				order = append(order, stack[i:]...)
+				start = append(start, int32(len(order)))
+				stack = stack[:i]
 				sccCount++
 			}
 		}
@@ -570,73 +591,124 @@ func (g *Graph) computeClosures(prev *Graph, hostChain [][]int32) {
 	// Tarjan emits SCCs in reverse topological order: successors of an
 	// SCC always have smaller component ids, so one forward pass suffices.
 	sccClosure := make([][]int32, sccCount)
+	sccChanged := make([]bool, sccCount)
+	// seen[sc] == c marks successor SCC sc as already unioned into c.
+	seen := make([]int32, sccCount)
+	for i := range seen {
+		seen[i] = unvisited
+	}
 	for c := int32(0); c < sccCount; c++ {
+		members := order[start[c]:start[c+1]]
+		z0 := members[0]
+		if !sccDirty(members, adj, comp, adjDirty, sccChanged) {
+			sccClosure[c] = prev.closure[z0]
+			continue
+		}
 		var set []int32
-		for _, z := range sccMembers[c] {
+		for _, z := range members {
 			set = append(set, g.zoneNS[z]...)
 		}
-		// Successor SCCs.
-		succ := map[int32]bool{}
-		for _, z := range sccMembers[c] {
+		for _, z := range members {
 			for _, w := range adj[z] {
-				if comp[w] != c {
-					succ[comp[w]] = true
+				if sc := comp[w]; sc != c && seen[sc] != c {
+					seen[sc] = c
+					set = append(set, sccClosure[sc]...)
 				}
 			}
-		}
-		for sc := range succ {
-			set = append(set, sccClosure[sc]...)
 		}
 		sortUnique(&set)
 		// Copy-on-write: when the set is unchanged from the previous
 		// epoch, every member zone aliases the previous slice.
-		if z0 := sccMembers[c][0]; prev != nil && int(z0) < len(prev.closure) && int32sEqual(prev.closure[z0], set) {
+		if int(z0) < old && int32sEqual(prev.closure[z0], set) {
 			set = prev.closure[z0]
+		}
+		for _, z := range members {
+			if int(z) >= old || !int32sEqual(prev.closure[z], set) {
+				sccChanged[c] = true
+				break
+			}
 		}
 		sccClosure[c] = set
 	}
 	for z := 0; z < n; z++ {
-		g.closure[z] = sccClosure[comp[int32(z)]]
+		g.closure[z] = sccClosure[comp[z]]
+		changed[z] = sccChanged[comp[z]]
 	}
+	return changed
+}
+
+// sccDirty reports whether an SCC's closure must be re-unioned: a member's
+// adjacency changed, or an edge leads into a successor SCC whose closure
+// changed.
+func sccDirty(members []int32, adj [][]int32, comp []int32, adjDirty, sccChanged []bool) bool {
+	c := comp[members[0]]
+	for _, z := range members {
+		if adjDirty[z] {
+			return true
+		}
+		for _, w := range adj[z] {
+			if sc := comp[w]; sc != c && sccChanged[sc] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // computeChainTCBs unions zone closures into one TCB per interned chain.
 // Every name on the chain shares the resulting slice, so the per-name
-// Figure 2/5/6 passes become O(1) lookups. TCBs equal to the previous
-// epoch's alias its slices, and each chain's stamp records the epoch it
-// last changed — unchanged meaning both an identical TCB set and no TCB
-// member whose address chain attached late this epoch (a late attach
-// reshapes the min-cut digraph even when the TCB set is stable).
-func (g *Graph) computeChainTCBs(prev *Graph, late map[int32]struct{}) {
+// Figure 2/5/6 passes become O(1) lookups. Only new chains and chains
+// through a zone whose closure changed (changed, from computeClosures)
+// are re-unioned; TCBs equal to the previous epoch's alias its slices.
+// Each chain's stamp records the epoch it last changed — unchanged
+// meaning both an identical TCB set and no TCB member whose address
+// chain attached late this epoch (a late attach reshapes the min-cut
+// digraph even when the TCB set is stable).
+func (g *Graph) computeChainTCBs(prev *Graph, late, changed []bool) {
 	g.chainTCB = make([][]int32, len(g.chains))
 	g.chainStamp = make([]int64, len(g.chains))
-	for ci, chain := range g.chains {
+	old := 0
+	if prev != nil {
+		old = len(prev.chainTCB)
+	}
+	union := func(chain []int32) []int32 {
 		var tcb []int32
 		for _, z := range chain {
 			tcb = append(tcb, g.closure[z]...)
 		}
 		sortUnique(&tcb)
-		if prev != nil && ci < len(prev.chainTCB) && int32sEqual(prev.chainTCB[ci], tcb) {
-			g.chainTCB[ci] = prev.chainTCB[ci]
-			if tcbIntersects(prev.chainTCB[ci], late) {
-				g.chainStamp[ci] = g.epoch
-			} else {
-				g.chainStamp[ci] = prev.chainStamp[ci]
-			}
-		} else {
-			g.chainTCB[ci] = tcb
+		return tcb
+	}
+	for ci, chain := range g.chains {
+		if ci >= old {
+			g.chainTCB[ci] = union(chain)
 			g.chainStamp[ci] = g.epoch
+			continue
+		}
+		tcb := prev.chainTCB[ci]
+		if anyMarked(chain, changed) {
+			if t := union(chain); !int32sEqual(tcb, t) {
+				g.chainTCB[ci] = t
+				g.chainStamp[ci] = g.epoch
+				continue
+			}
+		}
+		g.chainTCB[ci] = tcb
+		if anyMarked(tcb, late) {
+			g.chainStamp[ci] = g.epoch
+		} else {
+			g.chainStamp[ci] = prev.chainStamp[ci]
 		}
 	}
 }
 
-// tcbIntersects reports whether any TCB member is in the late set.
-func tcbIntersects(tcb []int32, late map[int32]struct{}) bool {
-	if len(late) == 0 {
+// anyMarked reports whether any id is marked; nil marks mark nothing.
+func anyMarked(ids []int32, marks []bool) bool {
+	if marks == nil {
 		return false
 	}
-	for _, h := range tcb {
-		if _, ok := late[h]; ok {
+	for _, id := range ids {
+		if marks[id] {
 			return true
 		}
 	}
@@ -733,7 +805,7 @@ func sortUnique(ids *[]int32) {
 	if len(s) < 2 {
 		return
 	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	out := s[:1]
 	for _, v := range s[1:] {
 		if v != out[len(out)-1] {

@@ -38,7 +38,7 @@ import (
 //	core/failed      failed names and their error strings
 //	core/failedchain name -> chain id retained for failed names
 //	core/pending     chains awaiting their host's interning
-//	core/late        late-attached host ids not yet drained
+//	core/late        late-attached host ids of finished epochs not yet drained
 //
 // hostChainAt is the one array the builder writes in place (a pending
 // chain attaching to an existing host), so the loader copies it to the
@@ -345,7 +345,7 @@ func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 	if len(zoneNS) != len(zones) {
 		return nil, corruptf("core/zonens", "%d entries for %d zones", len(zoneNS), len(zones))
 	}
-	if nH > len(hosts) || nZ > len(zones) || nC > len(chains) {
+	if nH > len(hosts) || nZ > len(zones) || nC > len(chains) || epochHosts > len(hosts) {
 		return nil, corruptf("core/meta", "pinned dims exceed table sizes")
 	}
 
@@ -590,6 +590,14 @@ func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 	for _, hid := range lateIDs {
 		b.lateAttached[hid] = struct{}{}
 	}
+	// Chains attached since the last epoch carry the next epoch's stamp:
+	// that recovers the builder's attached set without a section of its
+	// own.
+	for hid, at := range hostChainAt[:epochHosts] {
+		if at == epoch+1 {
+			b.attached = append(b.attached, int32(hid))
+		}
+	}
 
 	if flags&metaHasPrev != 0 {
 		if shared {
@@ -610,8 +618,8 @@ func LoadSnapshot(f *snapshot.File) (*Builder, error) {
 			// The last committed epoch predates any live-store content:
 			// reconstruct the builder's empty-store graph.
 			eg := &Graph{st: newStore(0), epoch: epoch}
-			eg.computeClosures(nil, nil)
-			eg.computeChainTCBs(nil, nil)
+			eg.computeClosures(nil, nil, nil)
+			eg.computeChainTCBs(nil, nil, nil)
 			b.prev = eg
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -246,6 +247,76 @@ func TestSnapshotContinueBuilding(t *testing.T) {
 	}
 	if !kept {
 		t.Fatal("no chain kept its pre-restart stamp")
+	}
+}
+
+// TestSnapshotReopenThenCommit: FinishEpoch trusts the previous epoch's
+// tables and the set of hosts attached since then, which a reopened
+// builder restores from disk. Reopened and uninterrupted builders fed
+// the same batch with late attachments must produce identical next
+// epochs — whether the snapshot was taken at a commit boundary or with
+// late attachments already absorbed but not yet committed.
+func TestSnapshotReopenThenCommit(t *testing.T) {
+	for _, midBatch := range []bool{false, true} {
+		t.Run(fmt.Sprintf("midBatch=%v", midBatch), func(t *testing.T) {
+			const total = 600
+			orig := buildEpochs(total, 3)
+			// Publish two hosts without chains: hub.tld0 serves names
+			// and reaches the late host through its NS set.
+			orig.ObserveZone("hub.tld0", []string{"ns1.dom0.tld0", "ns.hub.example"})
+			orig.ObserveZone("side.tld1", []string{"ns.side.example"})
+			orig.Complete("www.hub.tld0", []string{"tld0", "hub.tld0"})
+			orig.FinishEpoch()
+			orig.TakeLateAttached()
+
+			// The late attachments: hub.tld0's closure grows by dom1's
+			// servers; side.tld1's by tld0's.
+			lateA := func(b *Builder) { b.ObserveChain("ns.hub.example", []string{"tld1", "dom1.tld1"}) }
+			lateB := func(b *Builder) {
+				b.AttachHostChain(b.InternHost("ns.side.example"), b.InternChain([]int32{b.InternZone("tld0", nil)}))
+			}
+			if midBatch {
+				lateA(orig)
+			}
+			var buf bytes.Buffer
+			if err := orig.WriteSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			restored, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(slices.Sorted(slices.Values(restored.attached)), slices.Sorted(slices.Values(orig.attached))) {
+				t.Fatalf("attached since the last epoch: restored %v, want %v", restored.attached, orig.attached)
+			}
+			before := orig.LastGraph()
+
+			var lates [2][]int32
+			for i, b := range []*Builder{orig, restored} {
+				if !midBatch || i == 1 {
+					// The restored builder must already know about a
+					// mid-batch attach; feeding it again is a no-op.
+					lateA(b)
+				}
+				lateB(b)
+				FeedSyntheticRange(b, total, total+60, total+60)
+				b.FinishEpoch()
+				lates[i] = b.TakeLateAttached()
+			}
+			g1, g2 := orig.LastGraph(), restored.LastGraph()
+			compareGraphs(t, g1, g2)
+			compareBuilders(t, orig, restored)
+			if !reflect.DeepEqual(lates[0], lates[1]) || len(lates[0]) != 2 {
+				t.Fatalf("late hosts: uninterrupted %v, reopened %v; want two", lates[0], lates[1])
+			}
+			if int32sEqual(before.ZoneClosure("hub.tld0"), g2.ZoneClosure("hub.tld0")) {
+				t.Fatal("late attachment did not reach hub.tld0's closure")
+			}
+			cid, _ := g2.NameChainID("www.hub.tld0")
+			if g2.ChainStamp(cid) != g2.Epoch() {
+				t.Fatalf("hub chain stamp %d, want the new epoch %d", g2.ChainStamp(cid), g2.Epoch())
+			}
+		})
 	}
 }
 

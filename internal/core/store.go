@@ -150,6 +150,9 @@ func int32sEqual(a, b []int32) bool {
 	if len(a) != len(b) {
 		return false
 	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true // empty, or one shared (aliased) slice
+	}
 	for i, v := range a {
 		if v != b[i] {
 			return false

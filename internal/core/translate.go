@@ -60,8 +60,9 @@ func (b *Builder) InternChain(zoneIDs []int32) int32 {
 
 // AttachHostChain assigns host hid's address chain by interned chain
 // id. The first attachment wins, matching ObserveChain; attachments to
-// hosts already published in a finalized graph are tracked as late so
-// TakeLateAttached keeps memo invalidation precise.
+// hosts already published in a finalized graph are tracked as late, so
+// the next FinishEpoch recomputes their zones and TakeLateAttached keeps
+// memo invalidation precise.
 func (b *Builder) AttachHostChain(hid, cid int32) {
 	if b.st.hostChainAt[hid] != 0 {
 		return
@@ -69,9 +70,7 @@ func (b *Builder) AttachHostChain(hid, cid int32) {
 	b.lock()
 	b.attachChainLocked(hid, cid)
 	b.unlock()
-	if int(hid) < b.epochHosts {
-		b.lateAttached[hid] = struct{}{}
-	}
+	b.noteAttached(hid)
 }
 
 // CompleteChain records one successfully walked name by interned chain
